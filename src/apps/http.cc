@@ -56,8 +56,12 @@ util::Bytes MediaBody(int layers, int frame_groups, size_t frame_bytes) {
       w.WriteU8(static_cast<uint8_t>(layer));
       w.WriteU8(filters::kMediaTypeColorImage);
       w.WriteU16(static_cast<uint16_t>(frame_bytes));
+      // Filled in place, not pushed a byte at a time: this is the bulk of the body.
+      const size_t start = body.size();
+      body.resize(start + frame_bytes);
+      const auto base = static_cast<uint8_t>(g * 131 + layer * 17);
       for (size_t i = 0; i < frame_bytes; ++i) {
-        w.WriteU8(static_cast<uint8_t>(g * 131 + layer * 17 + i));
+        body[start + i] = static_cast<uint8_t>(base + i);
       }
     }
   }

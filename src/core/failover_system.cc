@@ -18,8 +18,6 @@ FailoverSystem::FailoverSystem(const FailoverConfig& config)
   }
   sp1_ = std::make_unique<proxy::ServiceProxy>(&scenario_.fa1_router(), registry);
   sp2_ = std::make_unique<proxy::ServiceProxy>(&scenario_.fa2_router(), std::move(registry));
-  handoff_.RegisterProxy(scenario_.fa1_addr(), sp1_.get());
-  handoff_.RegisterProxy(scenario_.fa2_addr(), sp2_.get());
 
   proxy::CheckpointManagerConfig mgr_config;
   mgr_config.standby = scenario_.fa2_addr();
@@ -72,7 +70,6 @@ void FailoverSystem::CrashPrimary() {
   }
   eem_server_.reset();
   eem_client_.reset();
-  handoff_.UnregisterProxy(scenario_.fa1_addr());
   sp1_.reset();
 }
 
@@ -85,8 +82,7 @@ void FailoverSystem::TakeOver() {
 
   // 1. Rebuild the proxy from the last replicated checkpoint.
   if (ckpt_receiver_->has_checkpoint()) {
-    recovery_.restore =
-        mobileip::ProxyHandoffManager::RestoreFromCheckpoint(ckpt_receiver_->latest(), *sp2_);
+    recovery_.restore = proxy::RestoreFromCheckpoint(ckpt_receiver_->latest(), *sp2_);
   }
 
   obs::MetricRegistry& reg = sp2_->metrics();
@@ -136,15 +132,6 @@ void FailoverSystem::RegisterMobileIpMetrics(proxy::ServiceProxy& sp) {
                             [this] { return scenario_.client().stats().registrations_accepted; });
   reg.RegisterCounterSource("mip.registrations_denied",
                             [this] { return scenario_.client().stats().registrations_denied; });
-  reg.RegisterCounterSource("mip.handoffs", [this] { return handoff_.stats().handoffs; });
-  reg.RegisterCounterSource("mip.services_transferred",
-                            [this] { return handoff_.stats().services_transferred; });
-  reg.RegisterCounterSource("mip.services_failed",
-                            [this] { return handoff_.stats().services_failed; });
-  reg.RegisterCounterSource("mip.state_transferred",
-                            [this] { return handoff_.stats().state_transferred; });
-  reg.RegisterCounterSource("mip.state_rebuilt",
-                            [this] { return handoff_.stats().state_rebuilt; });
   reg.RegisterGaugeSource("mip.last_handoff_latency_us", [this] {
     return static_cast<double>(scenario_.client().stats().last_handoff_latency);
   });

@@ -31,7 +31,6 @@
 #include <functional>
 #include <memory>
 
-#include "src/mobileip/proxy_handoff.h"
 #include "src/mobileip/scenario.h"
 #include "src/monitor/eem_client.h"
 #include "src/monitor/eem_server.h"
@@ -64,7 +63,7 @@ struct FailoverRecovery {
   // Primary-side counts recorded at the instant of the crash.
   uint64_t pre_crash_streams = 0;
   uint64_t pre_crash_services = 0;
-  mobileip::RestoreResult restore;
+  proxy::RestoreResult restore;
 };
 
 class FailoverSystem {
@@ -100,7 +99,6 @@ class FailoverSystem {
   // The primary proxy; null after the crash.
   proxy::ServiceProxy* primary_sp() { return sp1_.get(); }
   proxy::ServiceProxy& standby_sp() { return *sp2_; }
-  mobileip::ProxyHandoffManager& handoff() { return handoff_; }
   proxy::CheckpointManager* checkpoint_manager() { return ckpt_manager_.get(); }
   proxy::CheckpointReceiver& checkpoint_receiver() { return *ckpt_receiver_; }
   const FailoverRecovery& recovery() const { return recovery_; }
@@ -113,7 +111,7 @@ class FailoverSystem {
   // The recovery state machine, run by the standby watchdog.
   void TakeOver();
   void StartEemOn(Host& host, proxy::ServiceProxy& sp);
-  // Exports Mobile IP client/handoff counters into `sp`'s registry ("mip.*").
+  // Exports Mobile IP client counters into `sp`'s registry ("mip.*").
   void RegisterMobileIpMetrics(proxy::ServiceProxy& sp);
 
   FailoverConfig config_;
@@ -121,7 +119,6 @@ class FailoverSystem {
   // checkpoint components die before the proxies, the proxies before the
   // scenario whose nodes they tap.
   mobileip::MobileIpScenario scenario_;
-  mobileip::ProxyHandoffManager handoff_;
   sim::FaultPlan fault_plan_;
   std::unique_ptr<proxy::ServiceProxy> sp1_;
   std::unique_ptr<proxy::ServiceProxy> sp2_;

@@ -1,145 +1,37 @@
 #include "src/mobileip/proxy_handoff.h"
 
-#include <set>
-
 namespace comma::mobileip {
 
-namespace {
-
-// A service concerns the mobile if either key endpoint names it (or is a
-// wild-card position that could match it, in which case the wild-card also
-// matches at the new proxy and must move too).
-bool ServiceConcernsMobile(const proxy::ServiceProxy::ServiceRecord& record,
-                           net::Ipv4Address mobile) {
-  return record.key.src == mobile || record.key.dst == mobile ||
-         record.key.src.IsUnspecified() || record.key.dst.IsUnspecified();
+bool KeyConcernsMobile(const proxy::StreamKey& key, net::Ipv4Address mobile) {
+  return key.src == mobile || key.dst == mobile || key.src.IsUnspecified() ||
+         key.dst.IsUnspecified();
 }
-
-// A service touches a stream when its (possibly wild-card) key matches the
-// stream in either direction — filters attach by directional key, but their
-// state concerns the whole conversation.
-bool ServiceTouchesStream(const proxy::StreamKey& service_key, const proxy::StreamKey& stream) {
-  return service_key.Matches(stream) || service_key.Matches(stream.Reversed());
-}
-
-}  // namespace
 
 void ProxyHandoffManager::RegisterProxy(net::Ipv4Address care_of, proxy::ServiceProxy* sp) {
   proxies_[care_of] = sp;
 }
 
-void ProxyHandoffManager::UnregisterProxy(net::Ipv4Address care_of) { proxies_.erase(care_of); }
-
-int ProxyHandoffManager::OnHandoff(net::Ipv4Address mobile, net::Ipv4Address old_coa,
-                                   net::Ipv4Address new_coa) {
+proxy::RestoreResult ProxyHandoffManager::OnHandoff(net::Ipv4Address mobile,
+                                                    net::Ipv4Address old_coa,
+                                                    net::Ipv4Address new_coa) {
   auto from = proxies_.find(old_coa);
   auto to = proxies_.find(new_coa);
   if (from == proxies_.end() || to == proxies_.end() || from->second == to->second) {
-    return 0;
+    return {};
   }
-  ++stats_.handoffs;
-  return TransferServices(*from->second, *to->second, mobile, &stats_);
-}
-
-int ProxyHandoffManager::TransferServices(proxy::ServiceProxy& from, proxy::ServiceProxy& to,
-                                          net::Ipv4Address mobile, ProxyHandoffStats* stats) {
-  // Snapshot first: DeleteService mutates the record list.
-  std::vector<proxy::ServiceProxy::ServiceRecord> moving;
-  for (const auto& record : from.services()) {
-    if (ServiceConcernsMobile(record, mobile)) {
-      moving.push_back(record);
-    }
+  ++handoffs_;
+  proxy::ServiceProxy& source = *from->second;
+  const proxy::CheckpointState moving = proxy::CaptureState(
+      source, [mobile](const proxy::StreamKey& key) { return KeyConcernsMobile(key, mobile); });
+  const proxy::RestoreResult result = proxy::RestoreFromCheckpoint(moving, *to->second);
+  // Release at the source: forgetting a stream drops the per-stream services
+  // on its key; the wild-card services (and any exact-key service with no
+  // stream yet) go by name.
+  for (const proxy::CheckpointedStream& stream : moving.streams) {
+    source.RemoveStream(stream.key);
   }
-  int transferred = 0;
-  for (const auto& record : moving) {
-    // Export the source instance's state *before* anything moves: the
-    // instance is destroyed when the service is deleted from `from`.
-    util::Bytes state;
-    bool has_state = false;
-    proxy::Filter* source = from.FindFilterOnKey(record.key, record.filter);
-    if (source != nullptr && source->state_kind() == proxy::FilterStateKind::kCheckpointed) {
-      has_state = source->ExportState(&state);
-    }
-    // The new proxy needs the filter loaded; mirror the source's load state.
-    to.LoadFilter(record.filter);
-    std::string error;
-    if (!to.AddService(record.filter, record.key, record.args, &error)) {
-      if (stats != nullptr) {
-        ++stats->services_failed;
-      }
-      continue;  // The source keeps the service; better degraded than gone.
-    }
-    bool imported = false;
-    if (has_state) {
-      proxy::Filter* target = to.FindFilterOnKey(record.key, record.filter);
-      std::string import_error;
-      imported = target != nullptr && target->ImportState(to.context(), state, &import_error);
-    }
-    from.DeleteService(record.filter, record.key);
-    ++transferred;
-    if (stats != nullptr) {
-      ++stats->services_transferred;
-      if (imported) {
-        ++stats->state_transferred;
-      } else {
-        ++stats->state_rebuilt;
-      }
-    }
-  }
-  return transferred;
-}
-
-RestoreResult ProxyHandoffManager::RestoreFromCheckpoint(const proxy::CheckpointState& ckpt,
-                                                         proxy::ServiceProxy& to) {
-  RestoreResult result;
-  // Streams first: once a key is in the registry, the launcher's OnNewStream
-  // does not fire for it, so re-issued per-stream services are not doubled
-  // by a wild-card launcher re-installing them on the next packet.
-  for (const auto& stream : ckpt.streams) {
-    proxy::StreamInfo info;
-    info.first_seen = stream.first_seen;
-    info.last_seen = stream.first_seen;
-    info.packets = stream.packets;
-    info.bytes = stream.bytes;
-    to.AdoptStream(stream.key, info);
-  }
-  // Services in creation order (launchers before the per-stream services
-  // they spawned; transform filters after the ttsf they require).
-  std::set<proxy::StreamKey> damaged;  // Streams that lost a service or its state.
-  for (const auto& svc : ckpt.services) {
-    auto mark_damaged = [&] {
-      for (const auto& stream : ckpt.streams) {
-        if (ServiceTouchesStream(svc.key, stream.key)) {
-          damaged.insert(stream.key);
-        }
-      }
-    };
-    to.LoadFilter(svc.filter);
-    std::string error;
-    if (!to.AddService(svc.filter, svc.key, svc.args, &error)) {
-      ++result.services_failed;
-      mark_damaged();  // Stream degrades to pass-through for this service.
-      continue;
-    }
-    ++result.services_restored;
-    if (!svc.has_state) {
-      continue;  // Stateless or rebuild-from-wire by design: not damage.
-    }
-    proxy::Filter* target = to.FindFilterOnKey(svc.key, svc.filter);
-    std::string import_error;
-    if (target != nullptr && target->ImportState(to.context(), svc.state, &import_error)) {
-      ++result.state_imported;
-    } else {
-      ++result.state_rebuilt;
-      mark_damaged();  // Had state, lost it: the stream must resync.
-    }
-  }
-  for (const auto& stream : ckpt.streams) {
-    if (damaged.count(stream.key) > 0) {
-      ++result.streams_rebuilt;
-    } else {
-      ++result.streams_restored;
-    }
+  for (const proxy::CheckpointedService& svc : moving.services) {
+    source.DeleteService(svc.filter, svc.key);
   }
   return result;
 }

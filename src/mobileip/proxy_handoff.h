@@ -5,19 +5,14 @@
 //
 // ProxyHandoffManager realizes that plan: each foreign-agent router hosts a
 // Service Proxy; when the mobile registers through a new FA, the manager
-// transfers every service whose stream key involves the mobile from the old
-// FA's proxy to the new one, re-issuing the original AddService requests.
-// Filter *code and configuration* move, and — since the failover work
-// (docs/robustness.md) — so does per-stream filter state for filters that
-// implement the ExportState/ImportState contract. Filters that declare
-// kRebuildFromWire (or whose import fails) fall back to the thesis-era
-// behaviour: the new instance rebuilds from the stream itself, counted in
-// `state_rebuilt`. Services bound by wild-card to the mobile keep working
-// because the wild-card re-matches at the new proxy.
-//
-// RestoreFromCheckpoint covers the *unplanned* path: the old proxy is gone
-// (gateway crash) and the new one is rebuilt from the standby's last
-// replicated CheckpointState instead of from a live peer.
+// moves the mobile's part of the old FA's proxy to the new one the same way
+// a crash takeover restores a standby (src/proxy/checkpoint.h): it captures
+// every service and stream whose key concerns the mobile, with each
+// checkpointed filter's exported state, restores that capture at the new
+// proxy, and then releases what it captured at the old one. Filters that
+// keep no exportable state (or whose import fails) rebuild from the stream
+// itself. Services bound by wild-card to the mobile keep working because
+// the wild-card re-matches at the new proxy.
 #ifndef COMMA_MOBILEIP_PROXY_HANDOFF_H_
 #define COMMA_MOBILEIP_PROXY_HANDOFF_H_
 
@@ -29,29 +24,10 @@
 
 namespace comma::mobileip {
 
-struct ProxyHandoffStats {
-  uint64_t handoffs = 0;
-  uint64_t services_transferred = 0;
-  uint64_t services_failed = 0;
-  // Per transferred service: did its filter state move with it?
-  // Invariant: services_transferred == state_transferred + state_rebuilt.
-  uint64_t state_transferred = 0;  // Export+import round-trip succeeded.
-  uint64_t state_rebuilt = 0;      // Stateless, kRebuildFromWire, or import failed.
-};
-
-// Outcome of rebuilding a proxy from a replicated checkpoint (crash takeover).
-struct RestoreResult {
-  uint64_t services_restored = 0;  // Re-issued successfully at the standby.
-  uint64_t services_failed = 0;    // AddService rejected (e.g. filter not loadable).
-  uint64_t state_imported = 0;     // Checkpointed blob accepted by the new instance.
-  uint64_t state_rebuilt = 0;      // No blob, or import failed: rebuild from wire.
-  // Checkpointed streams classified by whether every service touching them
-  // came back intact (restored) or some service failed or lost its state and
-  // the stream must resync from live traffic (rebuilt). Invariant:
-  // streams_restored + streams_rebuilt == checkpoint stream count.
-  uint64_t streams_restored = 0;
-  uint64_t streams_rebuilt = 0;
-};
+// A key concerns the mobile if either endpoint names it, or is a wild-card
+// position that could match it (the wild-card then also matches at the new
+// proxy and must move too).
+bool KeyConcernsMobile(const proxy::StreamKey& key, net::Ipv4Address mobile);
 
 class ProxyHandoffManager {
  public:
@@ -59,33 +35,20 @@ class ProxyHandoffManager {
   // foreign agent's router.
   void RegisterProxy(net::Ipv4Address care_of, proxy::ServiceProxy* sp);
 
-  // Forgets a care-of address (the gateway crashed or was decommissioned);
-  // later handoffs involving it become no-ops instead of touching a dead
-  // proxy. No-op if the address was never registered.
-  void UnregisterProxy(net::Ipv4Address care_of);
+  // Moves the mobile's services and streams from the proxy at `old_coa` to
+  // the proxy at `new_coa`: capture, restore at the destination, release at
+  // the source. A service the destination rejects is dropped, and its
+  // streams run pass-through there. Returns the restore's accounting; all
+  // zero when either address has no proxy or both name the same one.
+  proxy::RestoreResult OnHandoff(net::Ipv4Address mobile, net::Ipv4Address old_coa,
+                                 net::Ipv4Address new_coa);
 
-  // Moves the mobile's services from the proxy at `old_coa` to the proxy at
-  // `new_coa`. Returns the number of services transferred.
-  int OnHandoff(net::Ipv4Address mobile, net::Ipv4Address old_coa, net::Ipv4Address new_coa);
-
-  // Convenience: transfer directly between two proxies, carrying exported
-  // filter state across (planned handoff: both proxies are alive).
-  static int TransferServices(proxy::ServiceProxy& from, proxy::ServiceProxy& to,
-                              net::Ipv4Address mobile, ProxyHandoffStats* stats = nullptr);
-
-  // Rebuilds `to` from a replicated checkpoint after the primary gateway
-  // died (docs/robustness.md "Recovery state machine"). Adopts the
-  // checkpointed streams first — so the launcher does not re-fire on their
-  // next packet — then re-issues every checkpointed service in creation
-  // order, importing state blobs where present.
-  static RestoreResult RestoreFromCheckpoint(const proxy::CheckpointState& ckpt,
-                                             proxy::ServiceProxy& to);
-
-  const ProxyHandoffStats& stats() const { return stats_; }
+  // Hand-offs that moved state between two registered proxies.
+  uint64_t handoffs() const { return handoffs_; }
 
  private:
   std::map<net::Ipv4Address, proxy::ServiceProxy*> proxies_;
-  ProxyHandoffStats stats_;
+  uint64_t handoffs_ = 0;
 };
 
 }  // namespace comma::mobileip

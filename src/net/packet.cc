@@ -5,9 +5,10 @@
 
 namespace comma::net {
 
-uint64_t Packet::next_uid_ = 1;
+std::atomic<uint64_t> Packet::next_uid_{1};
 
-Packet::Packet() : uid_(next_uid_++) {}
+// Relaxed: a uid needs uniqueness only, not ordering with other memory.
+Packet::Packet() : uid_(next_uid_.fetch_add(1, std::memory_order_relaxed)) {}
 
 PacketPtr Packet::MakeTcp(Ipv4Address src, Ipv4Address dst, const TcpHeader& tcp,
                           util::Bytes payload) {

@@ -10,6 +10,7 @@
 #ifndef COMMA_NET_PACKET_H_
 #define COMMA_NET_PACKET_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -135,7 +136,11 @@ class Packet {
  private:
   uint16_t TransportChecksum() const;
 
-  static uint64_t next_uid_;
+  // Shared by every simulator region, so worker threads allocate from it
+  // concurrently: the atomic keeps uids unique. Which packet gets which uid
+  // still depends on how the workers interleave; uids identical at every
+  // worker count (per-region allocation) are an open ROADMAP.md item.
+  static std::atomic<uint64_t> next_uid_;
 
   uint64_t uid_;
   Ipv4Header ip_;

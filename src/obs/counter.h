@@ -21,7 +21,8 @@ namespace comma::obs {
 // another. Relaxed ordering is enough — each counter is an independent
 // monotone value, readers only need *a* recent value, and on the
 // architectures we build for a relaxed fetch_add is a single locked add
-// (~1ns), so benches can still leave metrics on.
+// (~9 ns in BM_MetricCounterInc: Release build, 2.0 GHz Xeon vCPU), cheap
+// enough that benches can still leave metrics on.
 class Counter {
  public:
   void Inc(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }

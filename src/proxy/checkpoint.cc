@@ -1,6 +1,7 @@
 #include "src/proxy/checkpoint.h"
 
 #include <algorithm>
+#include <set>
 
 #include "src/proxy/filter_state.h"
 
@@ -22,7 +23,98 @@ enum StateMode : uint8_t {
   kStateBlob = 2,
 };
 
+// A service touches a stream when its (possibly wild-card) key matches the
+// stream in either direction — filters attach by directional key, but their
+// state concerns the whole conversation.
+bool ServiceTouchesStream(const StreamKey& service_key, const StreamKey& stream) {
+  return service_key.Matches(stream) || service_key.Matches(stream.Reversed());
+}
+
 }  // namespace
+
+// --- Capture and restore ---
+
+CheckpointState CaptureState(const ServiceProxy& sp,
+                             const std::function<bool(const StreamKey&)>& include) {
+  CheckpointState state;
+  for (const ServiceProxy::ServiceRecord& record : sp.services()) {
+    if (!include(record.key)) {
+      continue;
+    }
+    CheckpointedService svc;
+    svc.filter = record.filter;
+    svc.key = record.key;
+    svc.args = record.args;
+    if (record.instance->state_kind() == FilterStateKind::kCheckpointed) {
+      svc.has_state = record.instance->ExportState(&svc.state);
+      if (!svc.has_state) {
+        svc.state.clear();
+      }
+    }
+    state.services.push_back(std::move(svc));
+  }
+  for (const auto& [key, info] : sp.streams()) {
+    if (include(key)) {
+      state.streams.push_back({key, info.packets, info.bytes, info.first_seen});
+    }
+  }
+  return state;
+}
+
+RestoreResult RestoreFromCheckpoint(const CheckpointState& ckpt, ServiceProxy& to) {
+  RestoreResult result;
+  // Streams first: once a key is in the registry, the launcher's OnNewStream
+  // does not fire for it, so re-issued per-stream services are not doubled
+  // by a wild-card launcher re-installing them on the next packet.
+  for (const CheckpointedStream& stream : ckpt.streams) {
+    StreamInfo info;
+    info.first_seen = stream.first_seen;
+    info.last_seen = stream.first_seen;
+    info.packets = stream.packets;
+    info.bytes = stream.bytes;
+    to.AdoptStream(stream.key, info);
+  }
+  // Services in creation order (launchers before the per-stream services
+  // they spawned; transform filters after the ttsf they require).
+  std::set<StreamKey> damaged;  // Streams that lost a service or its state.
+  for (const CheckpointedService& svc : ckpt.services) {
+    auto mark_damaged = [&] {
+      for (const CheckpointedStream& stream : ckpt.streams) {
+        if (ServiceTouchesStream(svc.key, stream.key)) {
+          damaged.insert(stream.key);
+        }
+      }
+    };
+    to.LoadFilter(svc.filter);
+    std::string error;
+    if (!to.AddService(svc.filter, svc.key, svc.args, &error)) {
+      ++result.services_failed;
+      mark_damaged();  // Stream degrades to pass-through for this service.
+      continue;
+    }
+    ++result.services_restored;
+    if (!svc.has_state) {
+      continue;  // Stateless or rebuild-from-wire by design: not damage.
+    }
+    // AddService appended the new service's record last.
+    const FilterPtr& target = to.services().back().instance;
+    std::string import_error;
+    if (target->ImportState(to.context(), svc.state, &import_error)) {
+      ++result.state_imported;
+    } else {
+      ++result.state_rebuilt;
+      mark_damaged();  // Had state, lost it: the stream must resync.
+    }
+  }
+  for (const CheckpointedStream& stream : ckpt.streams) {
+    if (damaged.count(stream.key) > 0) {
+      ++result.streams_rebuilt;
+    } else {
+      ++result.streams_restored;
+    }
+  }
+  return result;
+}
 
 // --- CheckpointManager ---
 
@@ -70,26 +162,9 @@ void CheckpointManager::Stop() {
 }
 
 CheckpointState CheckpointManager::Snapshot() {
-  CheckpointState state;
+  CheckpointState state = CaptureState(*sp_, [](const StreamKey&) { return true; });
   state.seq = seq_ + 1;
   state.taken_at = stack_->simulator()->Now();
-  for (const ServiceProxy::ServiceRecord& record : sp_->services()) {
-    CheckpointedService svc;
-    svc.filter = record.filter;
-    svc.key = record.key;
-    svc.args = record.args;
-    Filter* instance = sp_->FindFilterOnKey(record.key, record.filter);
-    if (instance != nullptr && instance->state_kind() == FilterStateKind::kCheckpointed) {
-      svc.has_state = instance->ExportState(&svc.state);
-      if (!svc.has_state) {
-        svc.state.clear();
-      }
-    }
-    state.services.push_back(std::move(svc));
-  }
-  for (const auto& [key, info] : sp_->streams()) {
-    state.streams.push_back({key, info.packets, info.bytes, info.first_seen});
-  }
   return state;
 }
 

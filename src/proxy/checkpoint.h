@@ -1,5 +1,11 @@
-// Warm-standby checkpoint replication for the Service Proxy
-// (docs/robustness.md, "Checkpoint & failover").
+// Proxy state capture and restore, and warm-standby checkpoint replication
+// for the Service Proxy (docs/robustness.md, "Checkpoint & failover").
+//
+// CaptureState and RestoreFromCheckpoint are the one way proxy state moves
+// between gateways, whatever the reason: a crash takeover restores the
+// standby from the last replicated capture of the whole proxy, and a planned
+// Mobile IP hand-off (mobileip::ProxyHandoffManager) captures the mobile's
+// part of the source proxy and restores it at the destination.
 //
 // A CheckpointManager runs beside the *primary* gateway's proxy. On a fixed
 // cadence it snapshots the proxy's service records, per-stream accounting,
@@ -67,6 +73,32 @@ struct CheckpointState {
   std::vector<CheckpointedStream> streams;
 };
 
+// Captures the services of `sp` (creation order) and its registered streams
+// whose key satisfies `include`, with the exported state of every
+// checkpointed filter instance. Leaves seq and taken_at at zero.
+CheckpointState CaptureState(const ServiceProxy& sp,
+                             const std::function<bool(const StreamKey&)>& include);
+
+// Outcome of applying a CheckpointState to a proxy.
+struct RestoreResult {
+  uint64_t services_restored = 0;  // Re-issued successfully.
+  uint64_t services_failed = 0;    // AddService rejected (e.g. filter not loadable).
+  uint64_t state_imported = 0;     // Captured blob accepted by the new instance.
+  uint64_t state_rebuilt = 0;      // Import failed: the instance rebuilds from the wire.
+  // Captured streams classified by whether every service touching them came
+  // back intact (restored) or some service failed or lost its state and the
+  // stream must resync from live traffic (rebuilt). Invariant:
+  // streams_restored + streams_rebuilt == captured stream count.
+  uint64_t streams_restored = 0;
+  uint64_t streams_rebuilt = 0;
+};
+
+// Rebuilds `ckpt` on `to`. Adopts the captured streams first — so a
+// wild-card launcher does not re-fire on their next packet — then re-issues
+// every captured service in creation order, importing state blobs where
+// present. A rejected service leaves its streams running pass-through.
+RestoreResult RestoreFromCheckpoint(const CheckpointState& ckpt, ServiceProxy& to);
+
 struct CheckpointStats {
   uint64_t frames_sent = 0;
   uint64_t bytes_sent = 0;        // Frame bytes handed to TCP.
@@ -96,8 +128,8 @@ class CheckpointManager {
   // Cancels the cadence and detaches from the connection. Safe to call twice.
   void Stop();
 
-  // Builds a full snapshot of the proxy right now (also used by planned
-  // handoffs and tests; does not touch the wire).
+  // Captures the whole proxy right now, stamped with the next sequence
+  // number (CaptureState with every key; does not touch the wire).
   CheckpointState Snapshot();
 
   // Snapshots and replicates immediately, off-cadence.

@@ -132,7 +132,7 @@ bool ServiceProxy::AddService(const std::string& filter_name, const StreamKey& k
     }
     return false;
   }
-  services_.push_back({filter_name, key, args});
+  services_.push_back({filter_name, key, args, filter});
   return true;
 }
 

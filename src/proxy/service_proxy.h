@@ -13,8 +13,8 @@
 //
 // Concurrency (DESIGN.md §7): the proxy — including the stream registry
 // (streams_) and the resolved-queue cache — is owned by the simulation
-// thread. Only the embedded obs::MetricRegistry is thread-safe; everything
-// else stays single-threaded until the PDES lands.
+// thread of its node's region. Only the embedded obs::MetricRegistry is
+// thread-safe.
 #ifndef COMMA_PROXY_SERVICE_PROXY_H_
 #define COMMA_PROXY_SERVICE_PROXY_H_
 
@@ -137,12 +137,14 @@ class ServiceProxy : public net::PacketTap {
   };
   std::vector<ReportEntry> Report(const std::string& only_filter = "") const;
 
-  // How each live service was created (AddService name/key/args). This is
-  // what a proxy hand-off transfers to the next gateway (§10.2.3).
+  // How each live service was created (AddService name/key/args) and the
+  // instance it created. This is what a checkpoint captures and a proxy
+  // hand-off moves to the next gateway (§10.2.3).
   struct ServiceRecord {
     std::string filter;
     StreamKey key;
     std::vector<std::string> args;
+    FilterPtr instance;
   };
   const std::vector<ServiceRecord>& services() const { return services_; }
   const std::map<StreamKey, StreamInfo>& streams() const { return streams_; }

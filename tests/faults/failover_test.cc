@@ -217,7 +217,7 @@ TEST(FaultRestoreTest, StandbyRejectingFilterLoadCountsServicesFailed) {
   ckpt.services.push_back({"nosuchfilter", key, {}, false, {}});
   ckpt.streams.push_back({key, 10, 1000, 0});
 
-  const auto result = mobileip::ProxyHandoffManager::RestoreFromCheckpoint(ckpt, sp);
+  const auto result = proxy::RestoreFromCheckpoint(ckpt, sp);
   EXPECT_EQ(result.services_failed, 1u);
   EXPECT_EQ(result.services_restored, 0u);
   // The stream the dead service touched degrades to pass-through: counted
@@ -241,7 +241,7 @@ TEST(FaultRestoreTest, CorruptStateBlobCountsStateRebuilt) {
   StreamKey other{scenario.wired_addr(), 7, scenario.mobile_addr(), 81};
   ckpt.streams.push_back({other, 3, 300, 0});
 
-  const auto result = mobileip::ProxyHandoffManager::RestoreFromCheckpoint(ckpt, sp);
+  const auto result = proxy::RestoreFromCheckpoint(ckpt, sp);
   EXPECT_EQ(result.services_restored, 1u);  // The filter itself came up...
   EXPECT_EQ(result.state_imported, 0u);
   EXPECT_EQ(result.state_rebuilt, 1u);      // ...but rebuilds from the wire.

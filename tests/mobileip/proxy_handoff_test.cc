@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "src/apps/bulk.h"
 #include "src/filters/media_filters.h"
 #include "src/filters/standard_set.h"
@@ -63,9 +66,10 @@ TEST_F(ProxyHandoffTest, ServicesFollowTheMobile) {
   ASSERT_TRUE(sp1_->AddService("rdrop", ToMobile(81), {"100"}, &error)) << error;
   ASSERT_TRUE(sp1_->AddService("meter", ToMobile(82), {}, &error)) << error;
 
-  const int moved = manager_.OnHandoff(scenario_.mobile_home_addr(), scenario_.fa1_addr(),
-                                       scenario_.fa2_addr());
-  EXPECT_EQ(moved, 2);
+  const proxy::RestoreResult moved = manager_.OnHandoff(
+      scenario_.mobile_home_addr(), scenario_.fa1_addr(), scenario_.fa2_addr());
+  EXPECT_EQ(moved.services_restored, 2u);
+  EXPECT_EQ(manager_.handoffs(), 1u);
   EXPECT_TRUE(sp1_->services().empty());
   ASSERT_EQ(sp2_->services().size(), 2u);
   EXPECT_EQ(sp2_->services()[0].filter, "rdrop");
@@ -93,10 +97,10 @@ TEST_F(ProxyHandoffTest, CompositeServiceTransfersInCreationOrder) {
   ASSERT_TRUE(sp1_->AddService("ttsf", key, {}, &error)) << error;
   ASSERT_TRUE(sp1_->AddService("tdrop", key, {"50"}, &error)) << error;
 
-  const int moved = manager_.OnHandoff(scenario_.mobile_home_addr(), scenario_.fa1_addr(),
-                                       scenario_.fa2_addr());
-  EXPECT_EQ(moved, 3);
-  EXPECT_EQ(manager_.stats().services_failed, 0u);
+  const proxy::RestoreResult moved = manager_.OnHandoff(
+      scenario_.mobile_home_addr(), scenario_.fa1_addr(), scenario_.fa2_addr());
+  EXPECT_EQ(moved.services_restored, 3u);
+  EXPECT_EQ(moved.services_failed, 0u);
   EXPECT_TRUE(sp2_->FindFilterOnKey(key, "ttsf") != nullptr);
   EXPECT_TRUE(sp2_->FindFilterOnKey(key, "tdrop") != nullptr);
 }
@@ -148,46 +152,150 @@ TEST_F(ProxyHandoffTest, PlannedHandoffCarriesExportedFilterState) {
   ASSERT_LT(sink.bytes_received(), 600'000u);
 
   scenario_.MoveToForeign2();
-  const int moved = manager_.OnHandoff(scenario_.mobile_home_addr(), scenario_.fa1_addr(),
-                                       scenario_.fa2_addr());
-  ASSERT_GT(moved, 0);
+  const proxy::RestoreResult moved = manager_.OnHandoff(
+      scenario_.mobile_home_addr(), scenario_.fa1_addr(), scenario_.fa2_addr());
+  ASSERT_GT(moved.services_restored, 0u);
   // The per-stream ttsf and tdrop are checkpointable: their state moved.
-  EXPECT_GE(manager_.stats().state_transferred, 2u);
-  // Accounting invariant: every transferred service either carried state or
-  // was explicitly rebuilt.
-  EXPECT_EQ(manager_.stats().services_transferred,
-            manager_.stats().state_transferred + manager_.stats().state_rebuilt);
-  EXPECT_EQ(manager_.stats().services_failed, 0u);
+  EXPECT_GE(moved.state_imported, 2u);
+  EXPECT_EQ(moved.state_rebuilt, 0u);
+  EXPECT_EQ(moved.services_failed, 0u);
+  EXPECT_EQ(moved.streams_rebuilt, 0u);
 
   // The in-flight stream completes through the destination proxy.
   scenario_.sim().RunFor(120 * sim::kSecond);
   EXPECT_EQ(sink.bytes_received(), 600'000u);
 }
 
-TEST_F(ProxyHandoffTest, StatelessServicesCountAsRebuilt) {
+TEST_F(ProxyHandoffTest, StatelessServicesRestoreWithoutState) {
   scenario_.MoveToForeign1();
   scenario_.sim().RunFor(2 * sim::kSecond);
   std::string error;
-  // meter keeps no exportable state; the transfer re-creates it fresh.
+  // meter keeps no exportable state; the hand-off re-creates it fresh, and
+  // that is by design, not a lost import.
   ASSERT_TRUE(sp1_->AddService("meter", ToMobile(82), {}, &error)) << error;
 
-  const int moved = manager_.OnHandoff(scenario_.mobile_home_addr(), scenario_.fa1_addr(),
-                                       scenario_.fa2_addr());
-  EXPECT_EQ(moved, 1);
-  EXPECT_EQ(manager_.stats().state_transferred, 0u);
-  EXPECT_EQ(manager_.stats().state_rebuilt, 1u);
-  EXPECT_EQ(manager_.stats().services_transferred,
-            manager_.stats().state_transferred + manager_.stats().state_rebuilt);
+  const proxy::RestoreResult moved = manager_.OnHandoff(
+      scenario_.mobile_home_addr(), scenario_.fa1_addr(), scenario_.fa2_addr());
+  EXPECT_EQ(moved.services_restored, 1u);
+  EXPECT_EQ(moved.state_imported, 0u);
+  EXPECT_EQ(moved.state_rebuilt, 0u);
+  EXPECT_EQ(moved.services_failed, 0u);
+  ASSERT_EQ(sp2_->services().size(), 1u);
+  EXPECT_EQ(sp2_->services()[0].filter, "meter");
+}
+
+TEST_F(ProxyHandoffTest, PlannedHandoffMovesEachServiceOnce) {
+  // A launcher spawns tcp/ttsf/tdrop on a live stream, then the mobile hands
+  // off. The stream is adopted at FA2 with its services, so the launcher
+  // that moved with it must not fire again there when traffic resumes.
+  scenario_.MoveToForeign1();
+  scenario_.sim().RunFor(2 * sim::kSecond);
+  std::string error;
+  ASSERT_TRUE(sp1_->AddService("launcher", ToMobile(80), {"tcp", "ttsf", "tdrop:0:5"}, &error))
+      << error;
+
+  apps::BulkSink sink(&scenario_.mobile(), 80);
+  apps::BulkSender sender(&scenario_.correspondent(), scenario_.mobile_home_addr(), 80,
+                          apps::PatternPayload(600'000));
+  scenario_.sim().RunFor(3 * sim::kSecond);
+  ASSERT_GT(sink.bytes_received(), 0u);
+  ASSERT_LT(sink.bytes_received(), 600'000u);
+  std::vector<proxy::StreamKey> moved_streams;
+  for (const auto& [key, info] : sp1_->streams()) {
+    if (KeyConcernsMobile(key, scenario_.mobile_home_addr())) {
+      moved_streams.push_back(key);
+    }
+  }
+  ASSERT_FALSE(moved_streams.empty());
+
+  scenario_.MoveToForeign2();
+  const proxy::RestoreResult moved = manager_.OnHandoff(
+      scenario_.mobile_home_addr(), scenario_.fa1_addr(), scenario_.fa2_addr());
+  EXPECT_EQ(moved.services_restored, 4u);  // launcher + tcp, ttsf, tdrop.
+  EXPECT_EQ(moved.streams_restored, moved_streams.size());
+  // FA1 keeps nothing of what moved.
+  EXPECT_TRUE(sp1_->services().empty());
+  for (const proxy::StreamKey& key : moved_streams) {
+    EXPECT_EQ(sp1_->streams().count(key), 0u) << key.ToString();
+  }
+
+  const uint64_t inspected_before = sp2_->stats().packets_inspected;
+  scenario_.sim().RunFor(sim::kSecond);
+  ASSERT_GT(sp2_->stats().packets_inspected, inspected_before);  // Traffic resumed at FA2.
+  std::map<std::pair<std::string, proxy::StreamKey>, int> records;
+  for (const auto& record : sp2_->services()) {
+    ++records[{record.filter, record.key}];
+  }
+  EXPECT_EQ(records.size(), 4u);
+  for (const auto& [service, count] : records) {
+    EXPECT_EQ(count, 1) << service.first << " on " << service.second.ToString();
+  }
+  EXPECT_TRUE(sp1_->services().empty());
+  for (const proxy::StreamKey& key : moved_streams) {
+    EXPECT_EQ(sp1_->streams().count(key), 0u) << key.ToString();
+  }
+
+  scenario_.sim().RunFor(120 * sim::kSecond);
+  EXPECT_EQ(sink.bytes_received(), 600'000u);
+}
+
+TEST_F(ProxyHandoffTest, HandoffAndTakeoverRestoreTheSameState) {
+  // The planned path (OnHandoff) and the takeover path (RestoreFromCheckpoint
+  // on a capture of the same instant) must rebuild identical proxies.
+  scenario_.MoveToForeign1();
+  scenario_.sim().RunFor(2 * sim::kSecond);
+  std::string error;
+  ASSERT_TRUE(sp1_->AddService("launcher", ToMobile(80), {"tcp", "ttsf", "tdrop:30:5"}, &error))
+      << error;
+  apps::BulkSink sink(&scenario_.mobile(), 80);
+  apps::BulkSender sender(&scenario_.correspondent(), scenario_.mobile_home_addr(), 80,
+                          apps::PatternPayload(600'000));
+  scenario_.sim().RunFor(3 * sim::kSecond);
+  ASSERT_GT(sink.bytes_received(), 0u);
+  ASSERT_LT(sink.bytes_received(), 600'000u);
+
+  // The takeover destination sits on a router the test never runs traffic
+  // through again.
+  proxy::ServiceProxy standby(&scenario_.backbone(), filters::StandardRegistry());
+  const net::Ipv4Address mobile = scenario_.mobile_home_addr();
+  const proxy::CheckpointState capture = proxy::CaptureState(
+      *sp1_, [mobile](const proxy::StreamKey& key) { return KeyConcernsMobile(key, mobile); });
+  const proxy::RestoreResult by_takeover = proxy::RestoreFromCheckpoint(capture, standby);
+  const proxy::RestoreResult by_handoff =
+      manager_.OnHandoff(mobile, scenario_.fa1_addr(), scenario_.fa2_addr());
+
+  EXPECT_EQ(by_handoff.services_restored, by_takeover.services_restored);
+  EXPECT_EQ(by_handoff.state_imported, by_takeover.state_imported);
+  EXPECT_GE(by_handoff.state_imported, 2u);
+  EXPECT_EQ(by_handoff.streams_restored, by_takeover.streams_restored);
+  ASSERT_EQ(sp2_->services().size(), standby.services().size());
+  for (size_t i = 0; i < standby.services().size(); ++i) {
+    const auto& planned = sp2_->services()[i];
+    const auto& restored = standby.services()[i];
+    EXPECT_EQ(planned.filter, restored.filter);
+    EXPECT_EQ(planned.key, restored.key);
+    EXPECT_EQ(planned.args, restored.args);
+    util::Bytes planned_blob;
+    util::Bytes restored_blob;
+    EXPECT_EQ(planned.instance->ExportState(&planned_blob),
+              restored.instance->ExportState(&restored_blob));
+    EXPECT_EQ(planned_blob, restored_blob) << planned.filter << " on " << planned.key.ToString();
+  }
 }
 
 TEST_F(ProxyHandoffTest, UnknownCareOfAddressesAreIgnored) {
+  std::string error;
+  ASSERT_TRUE(sp1_->AddService("meter", ToMobile(82), {}, &error)) << error;
   EXPECT_EQ(manager_.OnHandoff(scenario_.mobile_home_addr(), net::Ipv4Address(9, 9, 9, 9),
-                               scenario_.fa2_addr()),
-            0);
+                               scenario_.fa2_addr())
+                .services_restored,
+            0u);
   EXPECT_EQ(manager_.OnHandoff(scenario_.mobile_home_addr(), scenario_.fa1_addr(),
-                               scenario_.fa1_addr()),
-            0);
-  EXPECT_EQ(manager_.stats().handoffs, 0u);
+                               scenario_.fa1_addr())
+                .services_restored,
+            0u);
+  EXPECT_EQ(manager_.handoffs(), 0u);
+  EXPECT_EQ(sp1_->services().size(), 1u);
 }
 
 }  // namespace
